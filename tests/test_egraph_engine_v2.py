@@ -1,7 +1,8 @@
-"""Engine v2 tests: incremental e-matching equivalence and determinism,
+"""Engine v2 tests: pinned saturation outputs and hash-seed determinism,
 worklist-extractor parity with the old fixpoint, saturation reuse, engine
-counters, and the runner's deadline/truncation satellites."""
+counters, and the runner's deadline/truncation/budget satellites."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -36,8 +37,8 @@ from repro.targets import get_target
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-#: Small budget so equivalence tests cover several saturation iterations
-#: (including truncation-driven full-search fallbacks) without CI cost.
+#: Small budget so the pinned-output tests cover several saturation
+#: iterations (including match-budget truncation) without CI cost.
 SMALL = RunnerLimits(
     max_iterations=3, max_nodes=700, max_matches_per_rule=80, time_limit=5.0
 )
@@ -50,13 +51,25 @@ KERNELS = [
     "(exp (/ (- 0 (* x x)) (* 2 (* y y))))",
 ]
 
+#: SHA-256 of each kernel's newline-joined c99 variant list at ``SMALL``
+#: limits, as produced by both the full and the since-removed incremental
+#: re-matching modes; an engine change that alters one changes compile
+#: outputs.
+KERNEL_DIGESTS = [
+    "f80723301bbbc133839ba93a4be0e1072e8357cad8257d57848d796c2062c983",
+    "949b53e24f36bc40870a0c2dc46871d4948c5c89464493c31d7ee8a349e942c9",
+    "86393579a50c919bad1cea7ca09fa41b8e664b724b0c2b946642935085e880c8",
+    "ecec769685527f7752cdee645303b00fbc5b3c9d152c8cc65b5ef518c8969283",
+    "cf66e073fec92df217e59e19dc327207bfde892a985507eeca76027caf2784f5",
+]
 
-def _variants(source: str, incremental: bool, limits=SMALL) -> list[str]:
+
+def _variants(source: str, limits=SMALL) -> list[str]:
     target = get_target("c99")
     expr = parse_expr(source)
     egraph = EGraph()
     root = egraph.add_expr(expr)
-    run_rules(egraph, _rules_for(target), limits, incremental=incremental)
+    run_rules(egraph, _rules_for(target), limits)
     extractor = TypedExtractor(
         egraph, TargetCostModel(target),
         {name: "binary64" for name in expr.free_vars()},
@@ -68,60 +81,38 @@ def _variants(source: str, incremental: bool, limits=SMALL) -> list[str]:
 
 
 class TestIncrementalEquivalence:
-    @pytest.mark.parametrize("source", KERNELS)
-    def test_full_and_incremental_extract_identically(self, source):
-        assert _variants(source, True) == _variants(source, False)
+    """Saturation outputs pinned to the values both re-matching modes
+    produced before the incremental mode was removed (hence the names)."""
+
+    @pytest.mark.parametrize(
+        "source,digest", list(zip(KERNELS, KERNEL_DIGESTS)), ids=KERNELS
+    )
+    def test_full_and_incremental_extract_identically(self, source, digest):
+        variants = "\n".join(_variants(source)).encode()
+        assert hashlib.sha256(variants).hexdigest() == digest
 
     def test_identical_graphs_not_just_extractions(self):
-        target = get_target("c99")
-        expr = parse_expr(KERNELS[0])
-        graphs = []
-        for incremental in (False, True):
-            egraph = EGraph()
-            egraph.add_expr(expr)
-            run_rules(egraph, _rules_for(target), SMALL, incremental=incremental)
-            graphs.append(egraph)
-        full, incr = graphs
-        assert full.num_nodes == incr.num_nodes
-        assert full.num_classes == incr.num_classes
-        assert full.version == incr.version
+        egraph = EGraph()
+        egraph.add_expr(parse_expr(KERNELS[0]))
+        run_rules(egraph, _rules_for(get_target("c99")), SMALL)
+        assert (egraph.num_nodes, egraph.num_classes, egraph.version) == (
+            695, 234, 501
+        )
 
     def test_deep_chain_match_at_unchanged_root(self):
         # The match of "outer" only becomes available after "inner" fires
         # in a *descendant* class (iteration 0 has no ``(+ _ 0)`` node at
-        # all); the root's own sqrt node never changes, so finding the new
-        # match in iteration 1 exercises the upward dirty closure.
+        # all); the root's own sqrt node never changes, yet the match must
+        # be found there in iteration 1.
         rules = [
             rw("inner", "(* a 1)", "(+ a 0)"),
             rw("outer", "(sqrt (+ q 0))", "(exp q)"),
         ]
-        for incremental in (False, True):
-            g = EGraph()
-            root = g.add_expr(parse_expr("(sqrt (* x 1))"))
-            run_rules(g, rules, RunnerLimits(max_iterations=6),
-                      incremental=incremental)
-            assert g.represents(root, parse_expr("(exp x)")), incremental
-            assert g.represents(root, parse_expr("(sqrt (+ x 0))"))
-
-    def test_escape_hatch_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EGRAPH_INCREMENTAL", "0")
         g = EGraph()
-        g.add_expr(parse_expr("(+ (+ x 0) 0)"))
-        report = run_rules(g, [rw("id", "(+ a 0)", "a")])
-        assert report.searches_incremental == 0
-        assert report.searches_full >= 1
-        monkeypatch.setenv("REPRO_EGRAPH_INCREMENTAL", "1")
-        g = EGraph()
-        g.add_expr(parse_expr("(+ (+ x 0) 0)"))
-        report = run_rules(g, [rw("id", "(+ a 0)", "a")])
-        assert report.searches_incremental >= 1
-
-    def test_conditional_rules_always_full_search(self):
-        g = EGraph()
-        g.add_expr(parse_expr("(+ (+ x 0) 0)"))
-        rule = rw("id", "(+ a 0)", "a", condition=lambda eg, s: True)
-        report = run_rules(g, [rule], incremental=True)
-        assert report.searches_incremental == 0
+        root = g.add_expr(parse_expr("(sqrt (* x 1))"))
+        run_rules(g, rules, RunnerLimits(max_iterations=6))
+        assert g.represents(root, parse_expr("(exp x)"))
+        assert g.represents(root, parse_expr("(sqrt (+ x 0))"))
 
 
 class TestHashSeedDeterminism:
@@ -367,6 +358,31 @@ class TestRunnerSatellites:
         report = run_rules(g, [rw("id", "(+ a 0)", "a")])
         assert report.rules_truncated == {}
 
+    def test_rule_skipped_on_spent_node_budget_runs_next_iteration(
+        self, monkeypatch
+    ):
+        import repro.egraph.runner as runner_module
+
+        searched = []
+        real_search = runner_module.search_pattern
+
+        def recording_search(egraph, pattern, *args, **kwargs):
+            searched.append(expr_to_sexpr(pattern))
+            return real_search(egraph, pattern, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "search_pattern", recording_search)
+        g = EGraph()
+        root = g.add_expr(parse_expr("(* (+ x 0) (+ y 0))"))  # 6 nodes
+        rules = [rw("id", "(+ a 0)", "a"), rw("comm", "(* a b)", "(* b a)")]
+        # Budget 2: "id" collects two node-free matches, which spends it,
+        # so "comm" is skipped in iteration 0.  Applying "id" adds no
+        # nodes, so iteration 1 has budget again and searches "comm".
+        report = run_rules(g, rules, RunnerLimits(max_nodes=8))
+        assert searched[:3] == ["(+ a 0)", "(+ a 0)", "(* a b)"]
+        assert report.stop_reason == "saturated"
+        assert report.rule_matches == {"id": 2, "comm": 1}
+        assert g.represents(root, parse_expr("(* y x)"))
+
 
 class TestExtractionError:
     def test_carries_class_and_cost_name(self):
@@ -490,9 +506,14 @@ class TestEngineStats:
             g = EGraph()
             g.add_expr(parse_expr("(+ (+ x 0) 0)"))
             run_rules(g, [rw("id", "(+ a 0)", "a")])
-        assert stats.saturations == 1
+            g = EGraph()
+            g.add_expr(parse_expr("(+ x y)"))
+            run_rules(g, [rw("grow", "(+ a b)", "(+ (+ a b) b)")],
+                      RunnerLimits(max_iterations=1))
+        assert stats.saturations == 2
         assert stats.matches_applied >= 2
         assert stats.enodes_built >= 0
+        assert stats.stop_reasons == {"saturated": 1, "iteration-limit": 1}
         assert stats.any()
 
     def test_sink_restored_after_region(self):
@@ -507,15 +528,21 @@ class TestEngineStats:
     def test_merge_and_delta(self):
         from repro.egraph import stats_delta
 
-        a = EngineStats(enodes_built=5, rules_truncated={"x": 1})
-        b = EngineStats(enodes_built=2, rules_truncated={"x": 2, "y": 1})
+        a = EngineStats(enodes_built=5, rules_truncated={"x": 1},
+                        stop_reasons={"saturated": 2})
+        b = EngineStats(enodes_built=2, rules_truncated={"x": 2, "y": 1},
+                        stop_reasons={"saturated": 1, "node-limit": 1})
         a.merge(b)
         assert a.enodes_built == 7
         assert a.rules_truncated == {"x": 3, "y": 1}
+        assert a.stop_reasons == {"saturated": 3, "node-limit": 1}
+        # Merging never aliases the other side's dicts.
+        assert b.stop_reasons == {"saturated": 1, "node-limit": 1}
         delta = stats_delta(a.as_dict(), b.as_dict())
         assert delta["enodes_built"] == 5
         # Zero entries are dropped from dict-valued deltas.
         assert delta["rules_truncated"] == {"x": 1}
+        assert delta["stop_reasons"] == {"saturated": 2}
 
     def test_session_surfaces_engine_counters(self):
         from repro.accuracy.sampler import SampleConfig
