@@ -6,6 +6,13 @@ inherited through its arguments: evaluate the operator's arguments exactly
 once, and compare against the correctly-rounded true value of the node.  An
 operator with high local error is a rewrite candidate; an operator that
 merely passes along its children's error is not blamed.
+
+Exact values are shared the way Herbie's localization shares them: each
+distinct (desugared real subexpression, format) pair is evaluated over the
+whole point block in one ``eval_batch`` through an oracle backend, and a
+caller-held memo carries those blocks across the programs of a compile.
+Synthesized operators applied to the exact arguments are settled the same
+way, one batch per node (:func:`repro.targets.synth.settle`).
 """
 
 from __future__ import annotations
@@ -15,12 +22,16 @@ from typing import Mapping, Sequence
 
 from ..ir.expr import App, Expr
 from ..ir.types import F64
-from ..rival.eval import DomainError, PrecisionExhausted, RivalEvaluator
+from ..rival.backends import OracleBackend, PointResult, make_backend
+from ..rival.eval import RivalEvaluator
+from ..targets import synth
 from ..targets.target import Target
 from .ulp import bits_of_error
 
 Path = tuple[int, ...]
 Point = Mapping[str, float]
+#: Exact values over one point block, keyed by (real expression, format).
+ExactBlocks = dict[tuple[Expr, str], list[PointResult]]
 
 
 def local_errors(
@@ -29,53 +40,59 @@ def local_errors(
     points: Sequence[Point],
     ty: str = F64,
     evaluator: RivalEvaluator | None = None,
+    oracle: OracleBackend | None = None,
+    exact: ExactBlocks | None = None,
 ) -> dict[Path, float]:
     """Mean local error (bits) of every target-operator node in ``program``.
 
     Conditionals contribute through their branches; predicate and leaf
-    nodes have no local error.
+    nodes have no local error.  A node is skipped at points where the
+    oracle cannot settle one of its arguments or its own value.
+
+    ``oracle`` defaults to a backend around ``evaluator``.  ``exact``
+    memoizes exact values across calls; it must only be passed again with
+    the same ``points``.
     """
-    evaluator = evaluator or RivalEvaluator()
+    if oracle is None:
+        oracle = make_backend(evaluator=evaluator)
+    if exact is None:
+        exact = {}
+    points = list(points)
+
+    def exact_block(expr: Expr, fmt: str) -> list[PointResult]:
+        real = target.desugar_expr(expr)
+        block = exact.get((real, fmt))
+        if block is None:
+            block = exact[(real, fmt)] = oracle.eval_batch(real, points, fmt)
+        return block
+
     impls = target.impl_registry()
     results: dict[Path, float] = {}
-
     for path, node in program.subexprs():
         if not isinstance(node, App):
             continue
         spec = impls.get(node.op)
         if spec is None:
             continue  # conditionals, predicates, unknown ops
-        op = target.operator(node.op)
-        total, counted = 0.0, 0
-        for point in points:
-            err = _local_error_at(node, op, spec, target, point, evaluator)
-            if err is None:
-                continue
-            total += err
-            counted += 1
-        if counted:
-            results[path] = total / counted
+        ret_type = target.operator(node.op).ret_type
+        arg_blocks = [
+            exact_block(arg, arg_ty) for arg, arg_ty in zip(node.args, spec.arg_types)
+        ]
+        out_block = exact_block(node, ret_type)
+        settled = [
+            (tuple(r.value for r in args), out.value)
+            for *args, out in zip(*arg_blocks, out_block)
+            if out.ok and all(r.ok for r in args)
+        ]
+        if not settled:
+            continue
+        synth.settle(spec.impl, (args for args, _ in settled), oracle)
+        total = 0.0
+        for args, exact_out in settled:
+            try:
+                approx_out = spec.impl(*args)
+            except (OverflowError, ValueError, ZeroDivisionError):
+                approx_out = math.nan
+            total += bits_of_error(approx_out, exact_out, ret_type)
+        results[path] = total / len(settled)
     return results
-
-
-def _local_error_at(
-    node: App, op, spec, target: Target, point: Point, evaluator: RivalEvaluator
-) -> float | None:
-    """Local error of one node at one point, or None when undefined there."""
-    exact_args = []
-    for arg, arg_ty in zip(node.args, spec.arg_types):
-        real_arg = target.desugar_expr(arg)
-        try:
-            exact_args.append(evaluator.eval(real_arg, point, arg_ty))
-        except (DomainError, PrecisionExhausted, KeyError):
-            return None
-    real_node = target.desugar_expr(node)
-    try:
-        exact_out = evaluator.eval(real_node, point, op.ret_type)
-    except (DomainError, PrecisionExhausted, KeyError):
-        return None
-    try:
-        approx_out = spec.impl(*exact_args)
-    except (OverflowError, ValueError, ZeroDivisionError):
-        approx_out = math.nan
-    return bits_of_error(approx_out, exact_out, op.ret_type)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..accuracy.localerror import local_errors
+from ..accuracy.localerror import ExactBlocks, local_errors
 from ..accuracy.sampler import SampleSet
 from ..accuracy.scoring import pointwise_errors
 from ..cost.model import TargetCostModel
@@ -21,7 +21,9 @@ from ..egraph.runner import RunnerLimits
 from ..ir.expr import Expr
 from ..ir.fpcore import FPCore
 from ..obs.trace import span
+from ..rival.backends import OracleBackend, make_backend
 from ..rival.eval import RivalEvaluator
+from ..targets import synth
 from ..targets.target import Target
 from ..deadline import check_deadline
 from .candidates import Candidate, ParetoFrontier
@@ -67,12 +69,18 @@ class ImprovementLoop:
         samples: SampleSet,
         config: CompileConfig | None = None,
         evaluator: RivalEvaluator | None = None,
+        oracle: OracleBackend | None = None,
     ):
         self.core = core
         self.target = target
         self.samples = samples
         self.config = config or CompileConfig()
         self.evaluator = evaluator or RivalEvaluator()
+        #: Batched backend settling localize and synthesized-operator
+        #: values (defaults to one around ``evaluator``, as sampling does).
+        self.oracle = (
+            oracle if oracle is not None else make_backend(evaluator=self.evaluator)
+        )
         self.model = TargetCostModel(target)
         self.ty = core.precision
         self.var_types = dict(core.arg_types)
@@ -81,6 +89,10 @@ class ImprovementLoop:
         # programs sharing subtrees (and re-nominated hot paths across
         # iterations) saturate each distinct subexpression once.
         self._saturations = SaturationCache()
+        # Localize always uses the same point block, so its exact values
+        # are evaluated once per (real subexpression, format) per loop.
+        self._localize_points = self.samples.train[: self.config.localize_points]
+        self._localize_exact: ExactBlocks = {}
 
     @property
     def saturation_hits(self) -> int:
@@ -91,6 +103,9 @@ class ImprovementLoop:
 
     def score(self, program: Expr, origin: str) -> Candidate:
         """Score a program on the training set (cost + mean bits of error)."""
+        synth.settle_program(
+            program, self.target.impl_registry(), self.samples.train, self.oracle
+        )
         try:
             errors = pointwise_errors(
                 program, self.target, self.samples.train,
@@ -115,8 +130,10 @@ class ImprovementLoop:
 
     def localize(self, program: Expr) -> list[tuple[int, ...]]:
         """Pick the subexpression paths most worth rewriting (paper 5.2)."""
-        points = self.samples.train[: self.config.localize_points]
-        errs = local_errors(program, self.target, points, self.ty, self.evaluator)
+        errs = local_errors(
+            program, self.target, self._localize_points, self.ty,
+            self.evaluator, self.oracle, self._localize_exact,
+        )
         opps = cost_opportunities(program, self.target, self.ty, self.var_types)
 
         by_error = sorted(

@@ -31,7 +31,9 @@ from ..ir.expr import Expr
 from ..ir.fpcore import FPCore, parse_fpcore
 from ..obs.metrics import METRICS
 from ..obs.trace import span
+from ..rival.backends import OracleBackend, make_backend
 from ..rival.eval import RivalEvaluator
+from ..targets import synth
 from ..targets.target import Target
 from ..deadline import check_deadline
 from .candidates import Candidate, ParetoFrontier
@@ -73,9 +75,10 @@ class PipelineContext:
     config: CompileConfig = field(default_factory=CompileConfig)
     sample_config: SampleConfig | None = None
     evaluator: RivalEvaluator = field(default_factory=RivalEvaluator)
-    #: Batched oracle backend used by the sample phase; None builds one
-    #: around ``evaluator`` per the ``REPRO_ORACLE_BACKEND`` knob.
-    oracle: object | None = None
+    #: Batched oracle backend for sampling, localize and synthesized
+    #: operators; None builds one around ``evaluator`` per the
+    #: ``REPRO_ORACLE_BACKEND`` knob.
+    oracle: OracleBackend | None = None
     #: FPCore source text, consumed by the parse phase when ``core`` is unset.
     source: str | None = None
     core: FPCore | None = None
@@ -92,6 +95,10 @@ class PipelineContext:
     #: compile); the per-phase breakdown behind ``repro compile --json``
     #: timings and the serve ``/compile`` ``timings`` knob.
     phase_seconds: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.oracle is None:
+            self.oracle = make_backend(evaluator=self.evaluator)
 
     def require(self, attr: str, needed_by: str):
         """Fetch a prior phase's product, failing with a phase-aware error."""
@@ -173,7 +180,7 @@ class ImprovePhase:
         core = ctx.require("core", self.name)
         samples = ctx.require("samples", self.name)
         ctx.loop = ImprovementLoop(
-            core, ctx.target, samples, ctx.config, ctx.evaluator
+            core, ctx.target, samples, ctx.config, ctx.evaluator, ctx.oracle
         )
         # Regime inference is its own phase; the loop must not double-apply.
         ctx.train_frontier = ctx.loop.run(with_regimes=False)
@@ -203,9 +210,11 @@ class ScorePhase:
         train_frontier = ctx.require("train_frontier", self.name)
         input_program = ctx.require("input_program", self.name)
 
+        ops = ctx.target.impl_registry()
         ctx.test_frontier = ParetoFrontier()
         for candidate in train_frontier:
             check_deadline()
+            synth.settle_program(candidate.program, ops, samples.test, ctx.oracle)
             error = score_program(
                 candidate.program, ctx.target, samples.test,
                 samples.test_exact, core.precision,
@@ -221,6 +230,7 @@ class ScorePhase:
             )
 
         model = TargetCostModel(ctx.target)
+        synth.settle_program(input_program, ops, samples.test, ctx.oracle)
         ctx.input_candidate = Candidate(
             program=input_program,
             cost=model.program_cost(input_program),
@@ -292,26 +302,33 @@ class CompilePipeline:
         armed a :func:`~repro.core.deadline.deadline`, an expired budget
         raises :class:`~repro.core.deadline.DeadlineExceeded` here (the
         long-running phases also poll internally).
+
+        The run is one compile: synthesized-operator results are memoized
+        for exactly its duration (:func:`repro.targets.synth.memoized`).
         """
-        for phase in self.phases:
-            check_deadline()
-            start = time.perf_counter()
-            with span(f"phase.{phase.name}"):
-                if self.before is not None:
-                    self.before(phase.name, ctx)
-                phase.run(ctx)
-                if self.after is not None:
-                    self.after(phase.name, ctx)
-            elapsed = time.perf_counter() - start
-            ctx.phase_seconds[phase.name] = (
-                ctx.phase_seconds.get(phase.name, 0.0) + elapsed
-            )
-            METRICS.histogram(
-                "repro_phase_seconds",
-                "Wall-clock seconds spent in each compile pipeline phase.",
-                phase=phase.name,
-            ).observe(elapsed)
+        with synth.memoized():
+            for phase in self.phases:
+                self._run_phase(phase, ctx)
         return ctx
+
+    def _run_phase(self, phase: Phase, ctx: PipelineContext) -> None:
+        check_deadline()
+        start = time.perf_counter()
+        with span(f"phase.{phase.name}"):
+            if self.before is not None:
+                self.before(phase.name, ctx)
+            phase.run(ctx)
+            if self.after is not None:
+                self.after(phase.name, ctx)
+        elapsed = time.perf_counter() - start
+        ctx.phase_seconds[phase.name] = (
+            ctx.phase_seconds.get(phase.name, 0.0) + elapsed
+        )
+        METRICS.histogram(
+            "repro_phase_seconds",
+            "Wall-clock seconds spent in each compile pipeline phase.",
+            phase=phase.name,
+        ).observe(elapsed)
 
 
 def compile_core(

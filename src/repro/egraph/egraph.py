@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 
 from ..ir.expr import App, Expr
 from .enode import ENode, Head, head_of_expr, head_to_leaf_expr, is_op_head
+from .stats import current_sink
 from .unionfind import UnionFind
 
 
@@ -318,8 +319,6 @@ class GraphSnapshot:
 
 def _record_snapshot(built: bool) -> None:
     """Record a snapshot build/reuse in the thread's engine-stats sink."""
-    from .stats import current_sink
-
     sink = current_sink()
     if sink is not None:
         if built:

@@ -184,9 +184,12 @@ def search_pattern(
     share all canonicalization work.
     """
     results: list[tuple[int, Subst]] = []
+    candidates = root_candidates(egraph, pattern)
+    if not candidates:
+        return results
     snap = egraph.snapshot()
     prog = _compile(egraph, pattern)
-    for class_id in root_candidates(egraph, pattern):
+    for class_id in candidates:
         for subst in _match_snapshot(snap, prog, class_id, {}):
             if accept is not None and not accept(class_id, subst):
                 continue
