@@ -75,6 +75,13 @@ class EngineStats:
         return dataclasses.asdict(self)
 
 
+def stopped_on_wall_clock(engine: dict | None) -> bool:
+    """True when an :meth:`EngineStats.as_dict` dict records a saturation
+    that stopped on its wall-clock ``time_limit``.  Such a result depends on
+    how fast the machine was, so it must never enter the persistent cache."""
+    return bool(engine and engine.get("stop_reasons", {}).get("time-limit", 0) > 0)
+
+
 def stats_delta(after: dict, before: dict) -> dict:
     """``after - before`` over two :meth:`EngineStats.as_dict` snapshots.
 

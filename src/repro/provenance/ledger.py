@@ -53,7 +53,8 @@ LEDGER_SCHEMA = 1
 #: Values of a record's ``cache`` field.  ``hit`` = served from the
 #: persistent cache; ``store`` = fresh result stored into it; ``none`` =
 #: fresh result, no cache configured; ``bypass`` = fresh result that was
-#: deliberately not cached (customized pipelines, ``use_cache=False``).
+#: deliberately not cached (customized pipelines, ``use_cache=False``, a
+#: saturation stopped on the wall-clock ``time_limit``).
 CACHE_STATES = ("hit", "store", "none", "bypass")
 
 _HOST_LOCK = threading.Lock()

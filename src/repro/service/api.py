@@ -5,18 +5,23 @@
 module-level :func:`compile_many` shim).  It layers the persistent cache
 under the parallel scheduler:
 
-1. every job is fingerprinted and looked up in the cache (parent process,
-   so hit/miss stats are centralized and workers stay cache-free);
-2. misses are fanned out over the worker pool (or run inline for
+1. every job is fingerprinted, and specs sharing a fingerprint are
+   coalesced: the first is the *primary*, later ones are *followers*;
+2. each distinct fingerprint is looked up once in the cache (parent
+   process, so hit/miss stats are centralized and workers stay
+   cache-free);
+3. primary misses are fanned out over the worker pool (or run inline for
    ``jobs=1`` and for targets not resolvable from the registry by name —
    custom targets hold unpicklable closures);
-3. fresh results are stored back, and every ok outcome carries both the
-   JSON payload (for reports) and the deserialized
+4. fresh results are stored back (unless a saturation stopped on the wall
+   clock), followers copy their primary's outcome, and every ok outcome
+   carries both the JSON payload (for reports) and the deserialized
    :class:`~repro.core.pipeline.CompileResult` (for re-scoring).
 
-Cached and freshly-compiled outcomes are indistinguishable apart from the
-``cached`` flag: both are round-tripped through the same serialization, so
-a warm run reproduces a cold run's report byte-for-byte.
+Cached, coalesced and freshly-compiled outcomes are indistinguishable
+apart from the ``cached`` flag: all are round-tripped through the same
+serialization, so a warm run reproduces a cold run's report
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from typing import Iterable, Sequence, TypeAlias
 
 from ..accuracy.sampler import SampleConfig, SampleSet
 from ..core.loop import CompileConfig
+from ..egraph.stats import stopped_on_wall_clock
 from ..ir.fpcore import FPCore
 from ..rival.backends import resolve_backend_name
 from ..targets import get_target
@@ -80,6 +86,14 @@ def run_compile_jobs(
 ) -> list[JobOutcome]:
     """Compile many (benchmark, target) pairs; returns outcomes in order.
 
+    Each distinct job fingerprint is looked up once and compiled at most
+    once per call.  The first spec with a fingerprint is its *primary*;
+    every later one is a *follower* that never reaches the cache, the
+    scheduler or a worker and gets the primary's outcome under its own
+    ``index``: an ok primary yields a ``cached`` follower with the same
+    payload (no ``elapsed``/``engine``/``oracle``/``trace``), a failed or
+    timed-out one a follower with the same status and error.
+
     A spec is ``(core, target)`` or ``(core, target, samples)`` — the
     optional :class:`~repro.accuracy.sampler.SampleSet` skips per-job
     sampling and MUST equal what ``sample_core(core, sample_config)``
@@ -111,8 +125,12 @@ def run_compile_jobs(
     :meth:`~repro.provenance.ledger.ProvenanceLedger.record_job`; taken
     duck-typed so this module never imports the provenance layer): one
     ``"batch"`` record is appended per job — hits in the lookup loop,
-    fresh results as outcomes are rebuilt — always in the *parent*
-    process; workers never touch the journal.
+    fresh results as outcomes are rebuilt, ok followers as ``"hit"``
+    records after their primary's — always in the *parent* process;
+    workers never touch the journal.  Failed followers add no record.
+    A fresh result whose saturation stopped on the wall-clock
+    ``time_limit`` is never stored in the cache and is journaled as
+    ``"bypass"``.
     """
     config = config or CompileConfig()
     sample_config = sample_config or SampleConfig()
@@ -132,13 +150,19 @@ def run_compile_jobs(
     outcomes: list[JobOutcome | None] = [None] * len(resolved)
     pool_batch: list[BatchJob] = []
     inline_jobs: list[tuple[int, BatchJob, Target]] = []
-    targets_by_index: dict[int, Target] = {}
+    # Fingerprint -> index of its first spec (the primary); later specs
+    # with the same fingerprint are followers and never run.
+    primaries: dict[str, int] = {}
+    followers: list[int] = []
     # What the workers will resolve for themselves (scheduler._worker_init
     # resolves from the environment the same way); stamped into records.
     oracle_backend = resolve_backend_name() if ledger is not None else ""
 
     for index, (core, target, fingerprint, samples) in enumerate(resolved):
-        targets_by_index[index] = target
+        if fingerprint in primaries:
+            followers.append(index)
+            continue
+        primaries[fingerprint] = index
         if cache is not None:
             payload = cache.get(fingerprint)
             if payload is not None:
@@ -208,13 +232,20 @@ def run_compile_jobs(
             oracle=outcome_dict.get("oracle"),
             trace=outcome_dict.get("trace"),
         )
-        if outcome.ok and cache is not None:
+        # A saturation cut short by the wall clock makes the frontier
+        # depend on machine load: share it in this call, never cache it.
+        stored = (
+            outcome.ok and cache is not None
+            and not stopped_on_wall_clock(outcome.engine)
+        )
+        if stored:
             cache.put(fingerprint, outcome.payload)
         if ledger is not None:
             ledger.record_job(
                 "batch", core, target, config, sample_config, fingerprint,
                 cache=(
-                    "store" if outcome.ok and cache is not None
+                    "store" if stored
+                    else "bypass" if outcome.ok and cache is not None
                     else "none"
                 ),
                 status=outcome.status,
@@ -226,11 +257,42 @@ def run_compile_jobs(
             )
         outcomes[index] = outcome
 
+    for index in followers:
+        core, target, fingerprint, _samples = resolved[index]
+        primary = outcomes[primaries[fingerprint]]
+        assert primary is not None, f"job {index} has no primary outcome"
+        # An ok follower reads as a hit (the primary did the work); a
+        # failed one repeats the failure, so /health counts it as one.
+        outcome = JobOutcome(
+            index=index,
+            benchmark=core.name or "<anonymous>",
+            target=target.name,
+            status=primary.status,
+            fingerprint=fingerprint,
+            cached=primary.ok,
+            error_type=primary.error_type,
+            error=primary.error,
+            payload=primary.payload,
+        )
+        if progress is not None:
+            progress(job_event(
+                index, outcome.benchmark, outcome.target, outcome.status,
+                cached=outcome.cached, error_type=outcome.error_type,
+                error=outcome.error,
+            ))
+        if ledger is not None and outcome.ok:
+            # Lineage resolves through the primary's fresh record.
+            ledger.record_job(
+                "batch", core, target, config, sample_config, fingerprint,
+                cache="hit", oracle_backend=oracle_backend,
+            )
+        outcomes[index] = outcome
+
     final: list[JobOutcome] = []
     for index, outcome in enumerate(outcomes):
         assert outcome is not None, f"job {index} produced no outcome"
         if outcome.ok and outcome.payload is not None:
-            outcome.result = result_from_dict(outcome.payload, targets_by_index[index])
+            outcome.result = result_from_dict(outcome.payload, resolved[index][1])
         final.append(outcome)
     return final
 
@@ -248,6 +310,7 @@ def compile_many(
 
     A session amortizes the evaluator, sample cache and persistent result
     cache across calls; this one-shot facade rebuilds them every time.
+    Duplicate specs are coalesced as in :func:`run_compile_jobs`.
     """
     warnings.warn(
         "compile_many is deprecated; use repro.api.ChassisSession.compile_many",

@@ -137,6 +137,8 @@ class JobOutcome:
     target: str
     status: str  # "ok" | "failed" | "timeout"
     fingerprint: str = ""
+    #: Served without compiling in this call: a cache hit or a duplicate
+    #: spec (one whose fingerprint an earlier spec in the batch compiled).
     cached: bool = False
     elapsed: float = 0.0
     error_type: str = ""

@@ -71,7 +71,7 @@ from .deadline import (
     deadline,
     deadline_suspended,
 )
-from .egraph.stats import EngineStats, engine_stats_sink
+from .egraph.stats import EngineStats, engine_stats_sink, stopped_on_wall_clock
 from .exec.builder import BuildCache
 from .exec.executable import (
     ExecutableProgram,
@@ -773,17 +773,22 @@ class ChassisSession:
                 self.stats.compiles += 1
             outcome_counter("ok").inc()
             payload = result_to_dict(ctx.result)
-            if cacheable:
+            engine = getattr(self._timings_local, "engine", None)
+            # A saturation cut short by the wall clock makes the frontier
+            # depend on machine load, so it is never cached.
+            stored = cacheable and not stopped_on_wall_clock(engine)
+            if stored:
                 # Stored before the lock is released, so a waiting
                 # duplicate's re-check above finds it.
                 self.cache.put(fingerprint, payload)
             record(
                 # "bypass": a fresh result deliberately kept out of a
-                # configured cache (customized pipeline, use_cache=False).
-                "store" if cacheable
+                # configured cache (customized pipeline, use_cache=False,
+                # wall-clock-limited saturation).
+                "store" if stored
                 else ("bypass" if self.cache is not None else "none"),
                 elapsed=ctx.result.elapsed,
-                engine=getattr(self._timings_local, "engine", None),
+                engine=engine,
             )
         return payload, False, fingerprint, ctx.result
 
@@ -1187,8 +1192,10 @@ class ChassisSession:
         Same contract as the engine it drives
         (:func:`repro.service.api.run_compile_jobs`): outcomes in spec
         order, expected failures captured per job, warm cache hits flagged.
-        Every outcome — ok, failed, timeout, cached — is folded into
-        :attr:`stats`.
+        Specs with the same job fingerprint are coalesced: the first is
+        looked up and compiled at most once, and later duplicates copy its
+        outcome (ok ones flagged ``cached``).  Every outcome — ok, failed,
+        timeout, cached — is folded into :attr:`stats`.
 
         With ``jobs >= 2``, registry-target cache misses are dispatched
         through the session's *persistent* :class:`WorkerPool` (workers
