@@ -14,7 +14,7 @@ from conftest import BENCH_POINTS, write_result
 
 from repro.accuracy import SampleConfig
 from repro.benchsuite import core_named
-from repro.core import CompileConfig, compile_fpcore
+from repro.core import CompileConfig, compile_core
 from repro.core.isel import instruction_select
 from repro.ir import F32, parse_expr
 from repro.perf import PerfSimulator
@@ -47,9 +47,9 @@ def test_ablation_cost_opportunity(benchmark):
     )
 
     result_with = benchmark.pedantic(
-        compile_fpcore, args=(core, avx, with_opp, SAMPLES), rounds=1, iterations=1
+        compile_core, args=(core, avx, with_opp, SAMPLES), rounds=1, iterations=1
     )
-    result_without = compile_fpcore(core, avx, without_opp, SAMPLES)
+    result_without = compile_core(core, avx, without_opp, SAMPLES)
 
     cheapest_with = result_with.frontier.best_cost().cost
     cheapest_without = result_without.frontier.best_cost().cost

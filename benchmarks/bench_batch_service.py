@@ -15,19 +15,20 @@ import time
 
 from conftest import write_result
 
-from repro.service import CompileCache, compile_many
+from repro.api import ChassisSession
+from repro.service import CompileCache
 from repro.service.batch import report_line
 
 
 def _run(specs, config, cache=None, jobs=1):
     start = time.monotonic()
-    outcomes = compile_many(
-        specs,
+    with ChassisSession(
         config=config.compile_config,
         sample_config=config.sample_config,
         jobs=jobs,
         cache=cache,
-    )
+    ) as session:
+        outcomes = session.compile_many(specs)
     return outcomes, time.monotonic() - start
 
 

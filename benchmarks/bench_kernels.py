@@ -8,7 +8,7 @@ the reproduction itself.
 
 from repro.accuracy import SampleConfig, sample_core
 from repro.benchsuite import core_named
-from repro.core import CompileConfig, compile_fpcore
+from repro.core import CompileConfig, compile_core
 from repro.core.isel import instruction_select
 from repro.egraph import EGraph, RunnerLimits, TypedExtractor, run_rules
 from repro.cost import TargetCostModel
@@ -76,7 +76,7 @@ def test_kernel_full_compile(benchmark):
     config = CompileConfig(iterations=1, localize_points=6, max_variants=15)
 
     result = benchmark.pedantic(
-        compile_fpcore,
+        compile_core,
         args=(core, c99, config, SampleConfig(n_train=16, n_test=16)),
         rounds=1,
         iterations=1,

@@ -8,7 +8,7 @@ conditionals.  Chassis folds the quadratic's multiply-subtract chains into
 fma variants, exactly as the paper shows.
 """
 
-from repro import CompileConfig, SampleConfig, compile_fpcore, get_target, parse_fpcore
+from repro import ChassisSession, CompileConfig, SampleConfig, get_target, parse_fpcore
 from repro.core.isel import instruction_select
 from repro.ir import F32, expr_to_sexpr, parse_expr
 
@@ -31,9 +31,11 @@ def main() -> None:
     print(f"  conditional style: {avx.if_style} (masked execution)")
     print()
 
-    result = compile_fpcore(
-        CORE, avx, CompileConfig(iterations=2), SampleConfig(n_train=32, n_test=32)
-    )
+    with ChassisSession(
+        config=CompileConfig(iterations=2),
+        sample_config=SampleConfig(n_train=32, n_test=32),
+    ) as session:
+        result = session.compile(CORE, avx)
     print("Pareto frontier on AVX (note the fma/fnma fusions):")
     for candidate in result.frontier:
         print(f"  cost={candidate.cost:7.1f} err={candidate.error:6.2f}  "

@@ -10,7 +10,7 @@ it, then auto-tunes the cost model as the paper describes for targets with
 no cost information.
 """
 
-from repro import CompileConfig, SampleConfig, compile_fpcore, parse_fpcore
+from repro import ChassisSession, CompileConfig, SampleConfig, parse_fpcore
 from repro.fpeval import approx, impls
 from repro.ir import expr_to_sexpr
 from repro.targets import autotuned, parse_target_description
@@ -70,9 +70,11 @@ def main() -> None:
     print("Auto-tuned costs:", {n: op.cost for n, op in sorted(tuned.operators.items())})
     print()
 
-    result = compile_fpcore(
-        CORE, tuned, CompileConfig(iterations=2), SampleConfig(n_train=32, n_test=32)
-    )
+    with ChassisSession(
+        config=CompileConfig(iterations=2),
+        sample_config=SampleConfig(n_train=32, n_test=32),
+    ) as session:
+        result = session.compile(CORE, tuned)
     print("Pareto frontier (rsqrt should replace the div+sqrt chain):")
     for candidate in result.frontier:
         print(f"  cost={candidate.cost:7.1f} err={candidate.error:6.2f}  "

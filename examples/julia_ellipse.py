@@ -10,7 +10,7 @@ expansions; Chassis, told about Julia's helper library, reaches for
 precision) and friends like ``deg2rad`` and ``abs2``.
 """
 
-from repro import CompileConfig, SampleConfig, compile_fpcore, get_target, parse_fpcore
+from repro import ChassisSession, CompileConfig, SampleConfig, get_target, parse_fpcore
 from repro.core import render
 from repro.ir import expr_to_sexpr
 
@@ -32,9 +32,11 @@ def main() -> None:
     print(f"Julia helper operators available: {', '.join(sorted(helpers))}")
     print()
 
-    result = compile_fpcore(
-        CORE, julia, CompileConfig(iterations=2), SampleConfig(n_train=32, n_test=32)
-    )
+    with ChassisSession(
+        config=CompileConfig(iterations=2),
+        sample_config=SampleConfig(n_train=32, n_test=32),
+    ) as session:
+        result = session.compile(CORE, julia)
     print("Pareto frontier on Julia:")
     for candidate in result.frontier:
         print(f"  cost={candidate.cost:7.1f} err={candidate.error:6.2f}  "

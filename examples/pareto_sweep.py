@@ -13,7 +13,7 @@ from repro import (
     CompileConfig,
     PerfSimulator,
     SampleConfig,
-    compile_fpcore,
+    compile_core,
     parse_fpcore,
 )
 from repro.accuracy import sample_core
@@ -37,7 +37,7 @@ def main() -> None:
 
     for target in all_targets():
         try:
-            result = compile_fpcore(CORE, target, config, samples=samples)
+            result = compile_core(CORE, target, config, samples=samples)
         except Untranscribable:
             # Arith targets have no exp: Chassis needs series candidates for
             # the *whole* program, which start from a transcribable input.

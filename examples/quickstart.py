@@ -8,7 +8,7 @@ accuracy.  Here we compile the classic catastrophic-cancellation example
 ``sqrt(x+1) - sqrt(x)`` for the C 99 target.
 """
 
-from repro import CompileConfig, SampleConfig, compile_fpcore, get_target, parse_fpcore
+from repro import ChassisSession, CompileConfig, SampleConfig, get_target, parse_fpcore
 from repro.core import render
 from repro.ir import expr_to_infix
 
@@ -24,12 +24,11 @@ CORE = parse_fpcore(
 
 def main() -> None:
     target = get_target("c99")
-    result = compile_fpcore(
-        CORE,
-        target,
-        CompileConfig(iterations=2),
-        SampleConfig(n_train=48, n_test=48),
-    )
+    with ChassisSession(
+        config=CompileConfig(iterations=2),
+        sample_config=SampleConfig(n_train=48, n_test=48),
+    ) as session:
+        result = session.compile(CORE, target)
 
     print(f"Benchmark: {CORE.properties.get('name', CORE.name)}")
     print(f"Target:    {target.name} ({target.description})")

@@ -18,8 +18,8 @@ Quickstart (the curated surface lives in :mod:`repro.api`)::
     for candidate in result.frontier:
         print(candidate.cost, candidate.error, candidate.program)
 
-The historical one-shot ``compile_fpcore`` remains importable as a
-deprecated shim.  See DESIGN.md for the system inventory and
+One-shot callers that need no warm state use ``compile_core``.  See
+DESIGN.md for the system inventory and
 EXPERIMENTS.md for the paper-vs-measured record of every reproduced table
 and figure.
 """
@@ -32,7 +32,6 @@ from .core import (
     CompileResult,
     ParetoFrontier,
     compile_core,
-    compile_fpcore,
     instruction_select,
     render,
     transcribe,
@@ -57,7 +56,6 @@ __all__ = [
     "ChassisSession",
     "JobHandle",
     "compile_core",
-    "compile_fpcore",
     "CompileConfig",
     "CompilePipeline",
     "CompileResult",

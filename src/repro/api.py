@@ -24,8 +24,8 @@ Three layers, smallest first:
   calibrate the cost model against the measurements
   (:func:`collect_calibration`).
 
-The historical one-shot entry points ``repro.compile_fpcore`` and
-``repro.service.compile_many`` remain importable as deprecated shims.
+:func:`compile_core` is the one-shot escape hatch: one pipeline run with
+no session state.
 """
 
 from .accuracy.sampler import SampleConfig, SampleSet, SamplingError

@@ -1,7 +1,6 @@
 """Chassis core: the target-aware numerical compiler."""
 
 from .candidates import Candidate, ParetoFrontier
-from .chassis import compile_fpcore
 from .isel import instruction_select
 from .loop import CompileConfig, ImprovementLoop, improve
 from .pipeline import (
@@ -26,7 +25,6 @@ __all__ = [
     "PipelineContext",
     "Phase",
     "compile_core",
-    "compile_fpcore",
     "default_phases",
     "improve",
     "ImprovementLoop",

@@ -12,10 +12,10 @@ together with hook points, so callers can
 * **instrument** the run (``before``/``after`` callbacks per phase),
 
 instead of threading ever more keyword arguments through one monolithic
-``compile_fpcore``.  The phases deliberately mirror the architecture of
+compile function.  The phases deliberately mirror the architecture of
 paper figure 1; :func:`compile_core` runs the default pipeline and is what
-the scheduler workers, the session API and the deprecated
-:func:`~repro.core.chassis.compile_fpcore` shim all call.
+batch jobs (:func:`repro.service.scheduler.run_job`) call; the session API
+runs the same :class:`CompilePipeline` with its own warm resources.
 """
 
 from __future__ import annotations
@@ -343,8 +343,8 @@ def compile_core(
 ) -> CompileResult:
     """Compile one FPCore to a Pareto frontier of programs on ``target``.
 
-    The non-deprecated engine behind ``compile_fpcore``: builds a
-    :class:`PipelineContext` and runs ``pipeline`` (default: all six
+    The one-shot engine (batch jobs run it; a session adds warm state
+    around the same pipeline): builds a :class:`PipelineContext` and runs ``pipeline`` (default: all six
     phases) over it.  ``core`` may be source text (the parse phase
     consumes it) or an already-parsed :class:`FPCore`.
 

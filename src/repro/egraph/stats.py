@@ -10,8 +10,8 @@ found/applied, why each saturation stopped, and saturation-cache hits —
 without any engine API threading a stats object through every call site.
 
 The sink is thread-local (compilations are serialized per thread by the
-session's oracle lock); worker processes aggregate their own engine work
-but do not ship it across the process boundary.
+session's oracle lock); batch jobs arm their own and ship the counters
+home on ``JobOutcome.engine``, which the session merges as a plain dict.
 """
 
 from __future__ import annotations
@@ -55,10 +55,19 @@ class EngineStats:
     #: Saturation stop reason (``RunnerReport.stop_reason``) -> runs.
     stop_reasons: dict[str, int] = field(default_factory=dict)
 
-    def merge(self, other: "EngineStats") -> None:
-        """Fold ``other``'s counters into this one."""
+    def merge(self, other: "EngineStats | dict") -> None:
+        """Fold ``other``'s counters (an EngineStats or a plain
+        :meth:`as_dict` dict) into this one.
+
+        Unknown dict keys are ignored so payloads from newer/older
+        workers stay mergeable.
+        """
+        if isinstance(other, EngineStats):
+            other = vars(other)
         for fld in dataclasses.fields(self):
-            mine, theirs = getattr(self, fld.name), getattr(other, fld.name)
+            mine, theirs = getattr(self, fld.name), other.get(fld.name)
+            if not theirs:
+                continue
             if isinstance(mine, dict):
                 for name, count in theirs.items():
                     mine[name] = mine.get(name, 0) + count

@@ -60,7 +60,6 @@ def make_backend(
     evaluator: RivalEvaluator | None = None,
     lock=None,
     pool_provider=None,
-    config_provider=None,
     min_pool_points: int | None = None,
 ) -> OracleBackend:
     """Build the oracle backend for ``name`` (None: environment, then auto).
@@ -68,10 +67,10 @@ def make_backend(
     ``evaluator`` is the shared escalation ladder (a fresh one when
     omitted); ``lock`` is a zero-arg callable returning a context manager
     serializing the process-global mpmath rung (sessions pass their
-    instrumented oracle section).  ``pool_provider``/``config_provider``
-    feed the ``pool`` backend; without a provider (or with a ``jobs=1``
-    session, whose provider returns None) pooled requests degrade to the
-    in-process fast path.  ``min_pool_points`` overrides the pool's
+    instrumented oracle section).  ``pool_provider`` feeds the ``pool``
+    backend; without a provider (or with a ``jobs=1`` session, whose
+    provider returns None) pooled requests degrade to the in-process fast
+    path.  ``min_pool_points`` overrides the pool's
     sharding threshold (default: ``REPRO_ORACLE_POOL_MIN_BATCH``, then
     64 points).
     """
@@ -91,6 +90,5 @@ def make_backend(
     return PoolOracleBackend(
         fast,
         pool_provider=pool_provider,
-        config_provider=config_provider,
         min_pool_points=min_pool_points,
     )

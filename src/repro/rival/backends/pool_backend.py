@@ -127,7 +127,6 @@ class PoolOracleBackend(OracleBackend):
         fallback: NumpyBackend,
         *,
         pool_provider=None,
-        config_provider=None,
         min_pool_points: int | None = None,
     ):
         #: In-process backend for point calls and small batches.
@@ -136,9 +135,6 @@ class PoolOracleBackend(OracleBackend):
         #: Zero-arg callable returning the session's WorkerPool (or None,
         #: in which case everything runs on the fallback).
         self._pool_provider = pool_provider
-        #: Zero-arg callable returning ``(CompileConfig, SampleConfig)``
-        #: for the pool's worker-initialization fingerprint.
-        self._config_provider = config_provider
         #: Sharding threshold: constructor argument, then the
         #: ``REPRO_ORACLE_POOL_MIN_BATCH`` environment knob, then 64.
         self.min_pool_points = _resolve_min_pool_points(min_pool_points)
@@ -192,9 +188,6 @@ class PoolOracleBackend(OracleBackend):
             if kind == "sample":
                 return self.fallback.sample_batch(pre, expr, points, ty)
             return self.fallback.eval_batch(expr, points, ty)
-        config = sample_config = None
-        if self._config_provider is not None:
-            config, sample_config = self._config_provider()
         source = expr_to_sexpr(expr)
         pre_source = expr_to_sexpr(pre) if pre is not None else None
         precisions = tuple(self.evaluator.precisions)
@@ -215,9 +208,7 @@ class PoolOracleBackend(OracleBackend):
         if kind == "sample":
             for task in tasks:
                 task["pre"] = pre_source
-        payloads = pool.run_tasks(
-            _oracle_worker_chunk, tasks, config, sample_config
-        )
+        payloads = pool.run_tasks(_oracle_worker_chunk, tasks)
         results: list = []
         merged = OracleCounters()
         for payload in payloads:

@@ -1,18 +1,17 @@
 """The batch compilation engine: cache-aware fan-out over the worker pool.
 
 :func:`run_compile_jobs` is the engine behind
-:meth:`repro.api.ChassisSession.compile_many` (and the deprecated
-module-level :func:`compile_many` shim).  It layers the persistent cache
-under the parallel scheduler:
+:meth:`repro.api.ChassisSession.compile_many`.  It layers the persistent
+cache over the session's worker pool:
 
 1. every job is fingerprinted, and specs sharing a fingerprint are
    coalesced: the first is the *primary*, later ones are *followers*;
 2. each distinct fingerprint is looked up once in the cache (parent
    process, so hit/miss stats are centralized and workers stay
    cache-free);
-3. primary misses are fanned out over the worker pool (or run inline for
-   ``jobs=1`` and for targets not resolvable from the registry by name —
-   custom targets hold unpicklable closures);
+3. primary misses are fanned out over the worker pool (or run inline
+   when there is no pool, and for targets not resolvable from the
+   registry by name — custom targets hold unpicklable closures);
 4. fresh results are stored back (unless a saturation stopped on the wall
    clock), followers copy their primary's outcome, and every ok outcome
    carries both the JSON payload (for reports) and the deserialized
@@ -26,7 +25,6 @@ byte-for-byte.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from typing import Iterable, Sequence, TypeAlias
 
@@ -39,14 +37,7 @@ from ..targets import get_target
 from ..targets.target import Target
 from .cache import CompileCache, job_fingerprint, target_fingerprint
 from .results import core_to_source, result_from_dict
-from .scheduler import (
-    BatchJob,
-    BatchScheduler,
-    JobOutcome,
-    _worker_init,
-    job_event,
-    run_job,
-)
+from .scheduler import BatchJob, JobOutcome, job_event, run_job
 
 #: A unit of requested work: a benchmark plus a target (object or registry
 #: name), optionally with pre-computed samples (see :func:`run_compile_jobs`).
@@ -75,7 +66,6 @@ def run_compile_jobs(
     specs: Sequence[JobSpec],
     config: CompileConfig | None = None,
     sample_config: SampleConfig | None = None,
-    jobs: int = 1,
     cache: CompileCache | str | None = None,
     timeout: float | None = None,
     progress=None,
@@ -101,19 +91,16 @@ def run_compile_jobs(
     optimization; the cache fingerprint assumes this equality).
 
     ``cache`` may be a :class:`CompileCache` or a directory path; ``None``
-    disables caching.  ``jobs`` is the worker-pool width; ``timeout``
-    bounds each individual compilation in seconds.  ``pool``, when given,
-    is a persistent :class:`~repro.service.pool.WorkerPool` that
-    registry-target cache misses are dispatched through — even single-job
-    batches, since its workers are already warm — instead of building a
-    throwaway pool (sessions with ``jobs >= 2`` pass their own).
+    disables caching.  ``timeout`` bounds each individual compilation in
+    seconds.  ``pool``, when given, is a persistent
+    :class:`~repro.service.pool.WorkerPool` that registry-target cache
+    misses are dispatched through — even single-job batches, since its
+    workers are already warm (sessions with ``jobs >= 2`` pass their own).
 
-    Cache misses may run *inline* in the calling thread (``jobs=1`` with
-    no pool, single-job pool-less batches, non-registry targets at any
-    width), configured through module-global worker state — and mpmath
-    precision is process-global — so concurrent callers must pass the same
-    ``inline_lock`` to serialize those sections (pool-dispatched work is
-    unaffected).  Going through
+    Every other cache miss runs *inline* in the calling thread, in spec
+    order.  mpmath precision is process-global, so concurrent callers must
+    pass the same ``inline_lock`` to serialize those sections
+    (pool-dispatched work is unaffected).  Going through
     :meth:`repro.api.ChassisSession.compile_many` does this for you.
 
     ``trace=True`` asks each freshly-compiled job — wherever it runs —
@@ -149,13 +136,13 @@ def run_compile_jobs(
 
     outcomes: list[JobOutcome | None] = [None] * len(resolved)
     pool_batch: list[BatchJob] = []
-    inline_jobs: list[tuple[int, BatchJob, Target]] = []
+    inline_jobs: list[tuple[BatchJob, Target]] = []
     # Fingerprint -> index of its first spec (the primary); later specs
     # with the same fingerprint are followers and never run.
     primaries: dict[str, int] = {}
     followers: list[int] = []
-    # What the workers will resolve for themselves (scheduler._worker_init
-    # resolves from the environment the same way); stamped into records.
+    # What run_job will resolve for itself, wherever it runs; stamped
+    # into records.
     oracle_backend = resolve_backend_name() if ledger is not None else ""
 
     for index, (core, target, fingerprint, samples) in enumerate(resolved):
@@ -187,26 +174,20 @@ def run_compile_jobs(
                 continue
         job = BatchJob(
             index, core_to_source(core), target.name,
-            samples=samples, trace=trace,
+            samples=samples, timeout=timeout, trace=trace,
+            config=config, sample_config=sample_config,
         )
-        if _poolable(target):
+        if pool is not None and _poolable(target):
             pool_batch.append(job)
         else:
-            inline_jobs.append((index, job, target))
+            inline_jobs.append((job, target))
 
     raw: list[dict] = []
     if pool_batch:
-        scheduler = BatchScheduler(jobs=jobs, timeout=timeout)
-        raw.extend(
-            scheduler.run(
-                pool_batch, config, sample_config, progress,
-                inline_lock=inline_lock, pool=pool,
-            )
-        )
+        raw.extend(pool.run_batch(pool_batch, progress))
     if inline_jobs:
         with inline_lock if inline_lock is not None else nullcontext():
-            _worker_init(config, sample_config, timeout)
-            for _index, job, target in inline_jobs:
+            for job, target in inline_jobs:
                 outcome = run_job(job, target=target)
                 if progress is not None:
                     progress(outcome)
@@ -295,37 +276,6 @@ def run_compile_jobs(
             outcome.result = result_from_dict(outcome.payload, resolved[index][1])
         final.append(outcome)
     return final
-
-
-def compile_many(
-    specs: Sequence[JobSpec],
-    config: CompileConfig | None = None,
-    sample_config: SampleConfig | None = None,
-    jobs: int = 1,
-    cache: CompileCache | str | None = None,
-    timeout: float | None = None,
-    progress=None,
-) -> list[JobOutcome]:
-    """Deprecated: use :meth:`repro.api.ChassisSession.compile_many`.
-
-    A session amortizes the evaluator, sample cache and persistent result
-    cache across calls; this one-shot facade rebuilds them every time.
-    Duplicate specs are coalesced as in :func:`run_compile_jobs`.
-    """
-    warnings.warn(
-        "compile_many is deprecated; use repro.api.ChassisSession.compile_many",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_compile_jobs(
-        specs,
-        config=config,
-        sample_config=sample_config,
-        jobs=jobs,
-        cache=cache,
-        timeout=timeout,
-        progress=progress,
-    )
 
 
 def iter_ok_results(outcomes: Iterable[JobOutcome]):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ..accuracy.sampler import SampleConfig
-from ..core.chassis import CompileResult
+from ..core.pipeline import CompileResult
 from ..core.loop import CompileConfig
 from ..ir.fpcore import FPCore
 from ..ir.printer import expr_to_sexpr

@@ -1,17 +1,22 @@
-"""Parallel job scheduler: fan (benchmark, target) jobs over worker processes.
+"""Compile jobs as plain data, and the one function that runs them.
 
 Jobs cross the process boundary as plain data — FPCore source text plus a
-target *name* — because targets hold synthesized implementation closures
-that cannot be pickled.  Workers re-resolve the target from the registry,
-compile, and return the serialized result payload (the
-:mod:`repro.service.results` layout), so the parent never has to unpickle
-foreign objects and pool results are byte-identical to what the cache
-stores.
+target *name* and the job's configs — because targets hold synthesized
+implementation closures that cannot be pickled.  :func:`run_job`
+re-resolves the target from the registry, compiles, and returns the
+serialized result payload (the :mod:`repro.service.results` layout), so
+the parent never has to unpickle foreign objects and pooled results are
+byte-identical to what the cache stores.  It runs either on a worker of
+the session's :class:`~repro.service.pool.WorkerPool` or inline in
+:func:`repro.service.api.run_compile_jobs`; both paths run the exact same
+function on the exact same job, so serial and pooled runs produce
+identical reports.
 
 Guarantees:
 
-* **Deterministic ordering** — outcomes are returned sorted by job index
-  regardless of completion order.
+* **Self-contained jobs** — a :class:`BatchJob` carries its compile and
+  sample configs and its timeout, so workers hold no per-config state and
+  one warm pool serves batches with any configuration.
 * **Failure capture** — :class:`~repro.core.transcribe.Untranscribable` and
   :class:`~repro.accuracy.sampler.SamplingError` are recorded per job (the
   paper's protocol removes such pairs; callers decide), never swallowed and
@@ -22,17 +27,10 @@ Guarantees:
   main thread (worker processes always do), so a hung compilation frees
   its pool slot instead of wedging the batch — and inline jobs running on
   *non-main* threads (serve handlers, ``submit`` workers) are bounded too.
-* ``jobs=1`` runs inline in the calling process through the exact same
-  job function, so serial and parallel runs produce identical reports.
-
-Long-lived callers should prefer a session-owned persistent
-:class:`~repro.service.pool.WorkerPool` (pass it to :meth:`BatchScheduler.run`)
-over the ad-hoc per-batch pool this module otherwise builds.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import signal
 import threading
 from contextlib import nullcontext
@@ -118,14 +116,17 @@ class BatchJob:
     #: ``sample_core(core, sample_config)`` would produce — the cache
     #: fingerprint assumes samples are a pure function of those two.
     samples: object | None = None
-    #: Per-job timeout (seconds); overrides the worker-state default when
-    #: set.  Riding on the job keeps persistent-pool workers reusable
-    #: across batches with different timeout knobs.
+    #: Per-job timeout (seconds; None = unbounded).  Like the configs
+    #: below, it rides on the job so persistent-pool workers serve
+    #: batches with any knobs without being rebuilt.
     timeout: float | None = None
     #: Record a span trace of this compilation and ship it back in the
     #: outcome (``repro compile --trace`` with pooled jobs).  Engine
     #: counters ship unconditionally; spans only on request.
     trace: bool = False
+    #: The job's compile and sample configs (None = the defaults).
+    config: CompileConfig | None = None
+    sample_config: SampleConfig | None = None
 
 
 @dataclass
@@ -166,16 +167,6 @@ class JobOutcome:
         return self.status == "ok"
 
 
-# Worker-process state, set once per worker by the pool initializer.
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(config: CompileConfig, sample_config: SampleConfig, timeout: float | None):
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["sample_config"] = sample_config
-    _WORKER_STATE["timeout"] = timeout
-
-
 def _alarm_handler(_signum, _frame):
     raise JobTimeout()
 
@@ -189,12 +180,7 @@ def run_job(job: BatchJob, target=None) -> dict:
     """
     import time
 
-    config: CompileConfig = _WORKER_STATE["config"]
-    sample_config: SampleConfig = _WORKER_STATE["sample_config"]
-    timeout: float | None = (
-        job.timeout if job.timeout is not None else _WORKER_STATE.get("timeout")
-    )
-
+    timeout = job.timeout
     if target is None:
         target = get_target(job.target_name)
     core = parse_fpcore(job.core_source, known_ops=set(target.operators))
@@ -242,7 +228,7 @@ def run_job(job: BatchJob, target=None) -> dict:
                     benchmark=outcome["benchmark"], target=target.name,
                 ):
                     result = compile_core(
-                        core, target, config, sample_config,
+                        core, target, job.config, job.sample_config,
                         samples=job.samples, evaluator=evaluator,
                         oracle=oracle,
                     )
@@ -286,84 +272,3 @@ def run_job(job: BatchJob, target=None) -> dict:
     if trace is not None:
         outcome["trace"] = trace.as_dict()
     return outcome
-
-
-def _pool_context():
-    """Prefer fork (workers inherit the parent's hash seed and imports) —
-    but never fork a multi-threaded process directly: forking from, say, a
-    serve handler thread is deadlock-prone (the child inherits locks held
-    by threads that don't exist in it) and deprecated on Python 3.12+.
-    Such callers get *forkserver*: workers fork from a clean
-    single-threaded helper process (unlike spawn, the caller's
-    ``__main__`` is never re-executed)."""
-    single_threaded = (
-        threading.current_thread() is threading.main_thread()
-        and threading.active_count() == 1
-    )
-    try:
-        return multiprocessing.get_context("fork" if single_threaded else "forkserver")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
-class BatchScheduler:
-    """Runs batches of compile jobs with a bounded worker pool."""
-
-    def __init__(self, jobs: int = 1, timeout: float | None = None):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if timeout is not None and timeout <= 0:
-            # setitimer(0) would silently *disarm* the alarm.
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        self.jobs = jobs
-        self.timeout = timeout
-
-    def run(
-        self,
-        batch: list[BatchJob],
-        config: CompileConfig | None = None,
-        sample_config: SampleConfig | None = None,
-        progress=None,
-        inline_lock=None,
-        pool=None,
-    ) -> list[dict]:
-        """Execute every job; returns outcome dicts sorted by job index.
-
-        ``progress``, when given, is called with each outcome dict as it
-        completes (pool order — not deterministic; the return value is).
-        ``inline_lock`` is held around serial in-process execution (see
-        :func:`repro.service.api.run_compile_jobs`).  ``pool``, when given,
-        is a persistent :class:`~repro.service.pool.WorkerPool` that all
-        jobs (even single-job batches — its workers are already warm) are
-        dispatched through instead of a per-batch throwaway pool.
-        """
-        config = config or CompileConfig()
-        sample_config = sample_config or SampleConfig()
-        outcomes: list[dict] = []
-        if pool is not None:
-            outcomes = pool.run_batch(
-                batch, config, sample_config, timeout=self.timeout,
-                progress=progress,
-            )
-        elif self.jobs == 1 or len(batch) <= 1:
-            with inline_lock if inline_lock is not None else nullcontext():
-                _worker_init(config, sample_config, self.timeout)
-                for job in batch:
-                    outcome = run_job(job)
-                    if progress is not None:
-                        progress(outcome)
-                    outcomes.append(outcome)
-        else:
-            context = _pool_context()
-            workers = min(self.jobs, len(batch))
-            with context.Pool(
-                processes=workers,
-                initializer=_worker_init,
-                initargs=(config, sample_config, self.timeout),
-            ) as pool:
-                for outcome in pool.imap_unordered(run_job, batch):
-                    if progress is not None:
-                        progress(outcome)
-                    outcomes.append(outcome)
-        outcomes.sort(key=lambda o: o["index"])
-        return outcomes

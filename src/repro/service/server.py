@@ -549,19 +549,15 @@ class ChassisServer(ThreadingHTTPServer):
             "repro_oracle_evals":
                 ("Correctly-rounded oracle ladder evaluations, in-process "
                  "plus folded back from pooled workers.",
-                 lambda: (session.evaluator.evals
-                          + session.oracle.counters().evals
-                          + session.stats.rival.evals)),
+                 lambda: session.oracle_totals().evals),
             "repro_oracle_fastpath_points":
                 ("Batched oracle points settled by the vectorized fast "
                  "path without touching the mpmath ladder.",
-                 lambda: (session.oracle.counters().fastpath_hits
-                          + session.stats.rival.fastpath_hits)),
+                 lambda: session.oracle_totals().fastpath_hits),
             "repro_oracle_dd_points":
                 ("Batched oracle points settled by the double-double "
                  "rung specifically (subset of the fast-path points).",
-                 lambda: (session.oracle.counters().dd_hits
-                          + session.stats.rival.dd_hits)),
+                 lambda: session.oracle_totals().dd_hits),
         }
         for name, (help_text, fn) in gauges.items():
             METRICS.gauge_fn(name, fn, help_text)

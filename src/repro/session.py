@@ -17,9 +17,8 @@ A :class:`ChassisSession` holds, for its whole lifetime,
 
 Every consumer — the CLI, ``repro serve``, the experiment runners, the
 baselines — goes through a session, so repeated requests hit warm state
-instead of paying process start-up each time.  The old module-level
-``compile_fpcore`` / ``compile_many`` entry points survive as deprecated
-shims that build this state from scratch per call.
+instead of paying process start-up each time.  One-shot callers that
+want none of this state use :func:`repro.core.pipeline.compile_core`.
 
 Synopsis::
 
@@ -300,7 +299,6 @@ class ChassisSession:
             evaluator=self.evaluator,
             lock=lambda: self._oracle_section("ladder"),
             pool_provider=self.worker_pool,
-            config_provider=lambda: (self.config, self.sample_config),
         )
         # Keyed by id() (targets are unhashable frozen objects); entries
         # are evicted by a weakref.finalize when their target dies, so a
@@ -1157,7 +1155,6 @@ class ChassisSession:
         same road: each job's backend/evaluator work ships back on
         ``JobOutcome.oracle`` and merges into ``stats.rival``.
         """
-        known = {fld.name for fld in dataclasses.fields(EngineStats)}
         with self._lock:
             for outcome in outcomes:
                 if outcome.cached:
@@ -1169,10 +1166,7 @@ class ChassisSession:
                 else:
                     self.stats.failures += 1
                 if outcome.engine:
-                    self.stats.engine.merge(EngineStats(**{
-                        key: value for key, value in outcome.engine.items()
-                        if key in known
-                    }))
+                    self.stats.engine.merge(outcome.engine)
                 if outcome.oracle:
                     self.stats.rival.merge(outcome.oracle)
 
@@ -1182,7 +1176,6 @@ class ChassisSession:
         *,
         config: CompileConfig | None = None,
         sample_config: SampleConfig | None = None,
-        jobs: int | None = None,
         timeout: float | None = None,
         progress=None,
         trace: bool = False,
@@ -1199,11 +1192,12 @@ class ChassisSession:
 
         With ``jobs >= 2``, registry-target cache misses are dispatched
         through the session's *persistent* :class:`WorkerPool` (workers
-        warm across calls).  Remaining inline work (non-registry targets,
-        ``jobs=1``) runs in this thread configured via module-global
-        worker state; the session's oracle lock is passed down so exactly
-        those inline sections are serialized against concurrent compiles,
-        while pool-dispatched work (separate processes) runs unlocked.
+        warm across calls, whatever ``config``/``sample_config``/
+        ``timeout`` a call passes: each job carries its own).  Remaining
+        work (non-registry targets, ``jobs=1``) runs inline in this
+        thread; the session's oracle lock is passed down so exactly those
+        inline sections are serialized against concurrent compiles, while
+        pool-dispatched work (separate processes) runs unlocked.
 
         ``trace=True`` records a span trace per freshly-compiled job
         (returned on ``JobOutcome.trace``, merged across workers by
@@ -1212,21 +1206,15 @@ class ChassisSession:
         """
         with self._lock:
             self.stats.batches += 1
-        effective_jobs = self.jobs if jobs is None else jobs
-        # The persistent pool has the session's width; honor an explicit
-        # different jobs= override with a one-off pool of the requested
-        # width (legacy scheduler path) instead of silently capping it.
-        pool = self.worker_pool() if effective_jobs == self.jobs else None
         outcomes = run_compile_jobs(
             specs,
             config=config or self.config,
             sample_config=sample_config or self.sample_config,
-            jobs=effective_jobs,
             cache=self.cache,
             timeout=self.timeout if timeout is None else timeout,
             progress=progress,
             inline_lock=self._oracle_lock,
-            pool=pool,
+            pool=self.worker_pool(),
             trace=trace,
             ledger=self.ledger,
         )
@@ -1247,7 +1235,6 @@ class ChassisSession:
             [(core, target)],
             config=self.config,
             sample_config=self.sample_config,
-            jobs=self.jobs,
             cache=self.cache,
             timeout=self.timeout,
             inline_lock=self._oracle_lock,
@@ -1317,20 +1304,29 @@ class ChassisSession:
         see the module-level :func:`targets_info`."""
         return targets_info()
 
+    def oracle_totals(self) -> OracleCounters:
+        """Oracle work over the session's lifetime, across every process:
+        the session evaluator's ladder counters, the session backend's
+        batch counters, and the worker-side counters folded back from
+        pooled jobs (``stats.rival``).  In-process backends share
+        ``self.evaluator`` (their own ``evals`` stay zero), so summing all
+        three never double-counts.  Feeds ``/health`` and ``/metrics``."""
+        totals = self.oracle.counters()
+        with self._lock:
+            totals.merge(self.stats.rival)
+        totals.evals += self.evaluator.evals
+        totals.escalations += self.evaluator.escalations
+        return totals
+
     def health(self) -> dict:
         """The liveness/statistics payload behind the serve ``/health``
         route and ``repro health``: session counters (including engine
         totals folded back from pooled workers), persistent-cache stats,
         worker-pool state, and oracle activity (correctly-rounded
         evaluations plus lock wait-vs-hold)."""
-        backend = self.oracle.counters()
+        oracle = self.oracle_totals()
         with self._lock:
             stats = self.stats.as_dict()
-            folded = OracleCounters()
-            folded.merge(self.stats.rival)
-        # In-process backends share ``self.evaluator`` (their own
-        # ``evals`` stay zero); worker-side work arrives pre-folded in
-        # ``stats.rival`` — summing all three never double-counts.
         return {
             "ok": True,
             "stats": stats,
@@ -1339,31 +1335,19 @@ class ChassisSession:
             "provenance": self.ledger.info() if self.ledger else None,
             "oracle": {
                 "backend": self.oracle_backend,
-                "evals": self.evaluator.evals + backend.evals + folded.evals,
-                "escalations": (
-                    self.evaluator.escalations + backend.escalations
-                    + folded.escalations
-                ),
-                "batch_calls": backend.batch_calls + folded.batch_calls,
-                "batch_points": backend.batch_points + folded.batch_points,
-                "fastpath_hits": (
-                    backend.fastpath_hits + folded.fastpath_hits
-                ),
-                "escalated_points": (
-                    backend.escalated_points + folded.escalated_points
-                ),
-                "pool_chunks": backend.pool_chunks + folded.pool_chunks,
+                "evals": oracle.evals,
+                "escalations": oracle.escalations,
+                "batch_calls": oracle.batch_calls,
+                "batch_points": oracle.batch_points,
+                "fastpath_hits": oracle.fastpath_hits,
+                "escalated_points": oracle.escalated_points,
+                "pool_chunks": oracle.pool_chunks,
                 # Per-rung cascade breakdown (in-process + pooled sources
                 # alike: worker dd hits fold home through JobOutcome).
                 "rungs": {
-                    "longdouble_hits": (
-                        backend.fastpath_hits + folded.fastpath_hits
-                        - backend.dd_hits - folded.dd_hits
-                    ),
-                    "dd_hits": backend.dd_hits + folded.dd_hits,
-                    "ladder_points": (
-                        backend.escalated_points + folded.escalated_points
-                    ),
+                    "longdouble_hits": oracle.fastpath_hits - oracle.dd_hits,
+                    "dd_hits": oracle.dd_hits,
+                    "ladder_points": oracle.escalated_points,
                 },
             },
         }

@@ -13,7 +13,7 @@ import pytest
 
 from repro.accuracy import SampleConfig, sample_core
 from repro.benchsuite import core_named
-from repro.core import CompileConfig, Untranscribable, compile_fpcore
+from repro.core import CompileConfig, Untranscribable, compile_core
 from repro.cost import TargetCostModel
 from repro.targets import TARGET_NAMES, get_target
 
@@ -59,7 +59,7 @@ def test_arith_benchmark_on_every_target(target_name, arith_samples):
         if core.precision == "binary64"
         else sample_core(core, SMALL)
     )
-    result = compile_fpcore(core, target, FAST, samples=samples)
+    result = compile_core(core, target, FAST, samples=samples)
 
     assert len(result.frontier) >= 1
     model = TargetCostModel(target)
@@ -84,7 +84,7 @@ def test_transcendental_benchmark_on_every_target(
         if core.precision == "binary64"
         else sample_core(core, SMALL)
     )
-    result = compile_fpcore(core, target, FAST, samples=samples)
+    result = compile_core(core, target, FAST, samples=samples)
     assert len(result.frontier) >= 1
     model = TargetCostModel(target)
     for candidate in result.frontier:

@@ -7,7 +7,7 @@ import pytest
 from repro.accuracy import SampleConfig, sample_core
 from repro.core import (
     CompileConfig,
-    compile_fpcore,
+    compile_core,
     infer_regimes,
     instruction_select,
     series_candidates,
@@ -112,7 +112,7 @@ class TestRegimes:
 
 class TestCompileFPCore:
     def test_sqrt_sub_improves(self, c99, sqrt_sub_core):
-        result = compile_fpcore(sqrt_sub_core, c99, FAST, SMALL)
+        result = compile_core(sqrt_sub_core, c99, FAST, SMALL)
         assert len(result.frontier) >= 1
         best = result.frontier.best_error()
         assert best.error < result.input_candidate.error
@@ -120,7 +120,7 @@ class TestCompileFPCore:
         assert result.frontier.best_cost().cost <= result.input_candidate.cost
 
     def test_frontier_is_pareto(self, c99, sqrt_sub_core):
-        result = compile_fpcore(sqrt_sub_core, c99, FAST, SMALL)
+        result = compile_core(sqrt_sub_core, c99, FAST, SMALL)
         items = list(result.frontier)
         for a in items:
             for b in items:
@@ -131,7 +131,7 @@ class TestCompileFPCore:
         """Targets without transcendentals get polynomial approximations
         (paper section 2: 'AVX code must use polynomial approximations')."""
         core = parse_fpcore("(FPCore (x) :pre (< -1 x 1) (sin x))")
-        result = compile_fpcore(core, arith, FAST, SMALL)
+        result = compile_core(core, arith, FAST, SMALL)
         assert len(result.frontier) >= 1
         for candidate in result.frontier:
             assert "sin" not in str(candidate.program)
@@ -144,14 +144,14 @@ class TestCompileFPCore:
         from repro.core import Untranscribable
 
         with pytest.raises(Untranscribable):
-            compile_fpcore(core, arith, FAST, SMALL)
+            compile_core(core, arith, FAST, SMALL)
 
     def test_avx_uses_fma(self, avx):
         core = parse_fpcore(
             "(FPCore (a b c) :pre (and (< 0.1 a 10) (< 0.1 b 10) (< 0.1 c 10))"
             " (+ (* a b) c))"
         )
-        result = compile_fpcore(core, avx, FAST, SMALL)
+        result = compile_core(core, avx, FAST, SMALL)
         assert any("fma.f64" in str(c.program) for c in result.frontier)
 
     def test_binary32_core(self, avx):
@@ -159,12 +159,12 @@ class TestCompileFPCore:
             "(FPCore (x y) :precision binary32 :pre (and (< 0.1 x 10) (< 0.1 y 10))"
             " (/ x y))"
         )
-        result = compile_fpcore(core, avx, FAST, SMALL)
+        result = compile_core(core, avx, FAST, SMALL)
         assert len(result.frontier) >= 1
         assert any("rcp.f32" in str(c.program) for c in result.frontier)
 
     def test_best_for_error(self, c99, sqrt_sub_core):
-        result = compile_fpcore(sqrt_sub_core, c99, FAST, SMALL)
+        result = compile_core(sqrt_sub_core, c99, FAST, SMALL)
         loose = result.best_for_error(64.0)
         tight = result.best_for_error(1.0)
         assert loose is not None

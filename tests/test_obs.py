@@ -390,6 +390,41 @@ class TestServerObservability:
         assert excinfo.value.code == 400
 
 
+class TestOracleGauges:
+    def test_oracle_gauges_match_health(self):
+        """/metrics and /health report one set of oracle totals: the
+        session evaluator, its backend and the counters folded back from
+        pooled workers, summed in one place."""
+        session = ChassisSession(config=FAST, sample_config=SAMPLES, jobs=2)
+        server = create_server(session)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        base = f"http://{host}:{port}"
+        try:
+            _post(base + "/batch", {"cores": [SRC], "targets": ["c99"]})
+            _post(base + "/compile", {"core": SRC2, "target": "c99"})
+            oracle = json.loads(_get(base + "/health")[2])["oracle"]
+            text = _get(base + "/metrics")[2].decode("utf-8")
+        finally:
+            server.shutdown()
+            server.server_close()
+            session.close()
+            thread.join(timeout=10)
+        gauges = {
+            name: float(value)
+            for name, value in re.findall(
+                r"^(repro_oracle_\w+) (\S+)$", text, re.MULTILINE
+            )
+        }
+        # both sources contributed: worker evals and in-process batches
+        assert session.stats.rival.evals > 0
+        assert session.oracle.counters().batch_points > 0
+        assert gauges["repro_oracle_evals"] == oracle["evals"]
+        assert gauges["repro_oracle_fastpath_points"] == oracle["fastpath_hits"]
+        assert gauges["repro_oracle_dd_points"] == oracle["rungs"]["dd_hits"]
+
+
 class TestHealthCLI:
     def test_local_session_table(self, capsys):
         assert main(["health"]) == 0

@@ -7,17 +7,16 @@ import pytest
 from repro.accuracy import SampleConfig
 from repro.benchsuite import core_named
 from repro.cli import main
-from repro.core import CompileConfig
-from repro.core.chassis import compile_fpcore
+from repro.core import CompileConfig, compile_core
 from repro.service import (
     CompileCache,
-    compile_many,
     core_fingerprint,
     job_fingerprint,
     result_from_dict,
     result_to_dict,
     target_fingerprint,
 )
+from repro.session import ChassisSession
 from repro.targets import get_target
 
 FAST = CompileConfig(iterations=1, localize_points=6, max_variants=12)
@@ -31,7 +30,7 @@ def sqrt_sub():
 
 @pytest.fixture(scope="module")
 def compiled(sqrt_sub, c99):
-    return compile_fpcore(sqrt_sub, c99, FAST, SAMPLES)
+    return compile_core(sqrt_sub, c99, FAST, SAMPLES)
 
 
 class TestSerialization:
@@ -161,6 +160,15 @@ class TestCompileCache:
         assert len(cache) == 0
 
 
+def batch_outcomes(specs, jobs=1, cache=None, timeout=None):
+    """One batch through a fresh session of width ``jobs``."""
+    with ChassisSession(
+        config=FAST, sample_config=SAMPLES, jobs=jobs, cache=cache,
+        timeout=timeout,
+    ) as session:
+        return session.compile_many(specs)
+
+
 def _payload_no_elapsed(outcome):
     data = dict(outcome.payload)
     data.pop("elapsed", None)
@@ -176,24 +184,18 @@ class TestCompileMany:
 
     def test_serial_parallel_identical(self):
         """--jobs 1 and --jobs 4 must produce identical results."""
-        serial = compile_many(self._specs(), config=FAST, sample_config=SAMPLES, jobs=1)
-        parallel = compile_many(
-            self._specs(), config=FAST, sample_config=SAMPLES, jobs=4
-        )
+        serial = batch_outcomes(self._specs(), jobs=1)
+        parallel = batch_outcomes(self._specs(), jobs=4)
         assert [o.status for o in serial] == [o.status for o in parallel]
         for a, b in zip(serial, parallel):
             assert _payload_no_elapsed(a) == _payload_no_elapsed(b)
 
     def test_warm_cache_all_hits(self, tmp_path):
         cache = CompileCache(tmp_path)
-        cold = compile_many(
-            self._specs(), config=FAST, sample_config=SAMPLES, jobs=2, cache=cache
-        )
+        cold = batch_outcomes(self._specs(), jobs=2, cache=cache)
         assert all(o.ok and not o.cached for o in cold)
         assert cache.stats.stores == len(cold)
-        warm = compile_many(
-            self._specs(), config=FAST, sample_config=SAMPLES, jobs=2, cache=cache
-        )
+        warm = batch_outcomes(self._specs(), jobs=2, cache=cache)
         assert all(o.ok and o.cached for o in warm)
         assert cache.stats.hits == len(warm)
         for a, b in zip(cold, warm):
@@ -204,10 +206,8 @@ class TestCompileMany:
 
         # An unsatisfiable precondition -> SamplingError, recorded per job.
         bad = parse_fpcore("(FPCore nopoints (x) :pre (and (< 2 x) (< x 1)) x)")
-        outcomes = compile_many(
+        outcomes = batch_outcomes(
             [(bad, "arith"), (core_named("sqrt-sub"), "arith")],
-            config=FAST,
-            sample_config=SAMPLES,
             cache=CompileCache(tmp_path),
         )
         assert outcomes[0].status == "failed"
@@ -221,28 +221,18 @@ class TestCompileMany:
 
         if not hasattr(signal, "SIGALRM"):
             pytest.skip("no SIGALRM on this platform")
-        outcomes = compile_many(
-            [(core_named("sqrt-sub"), "c99")],
-            config=FAST,
-            sample_config=SAMPLES,
-            timeout=0.01,
-        )
+        outcomes = batch_outcomes([(core_named("sqrt-sub"), "c99")], timeout=0.01)
         assert outcomes[0].status == "timeout"
         assert outcomes[0].error_type == "JobTimeout"
         assert outcomes[0].payload is None
 
     def test_deterministic_ordering(self):
-        outcomes = compile_many(self._specs(), config=FAST, sample_config=SAMPLES, jobs=3)
+        outcomes = batch_outcomes(self._specs(), jobs=3)
         assert [o.index for o in outcomes] == list(range(len(self._specs())))
 
     def test_custom_target_runs_inline(self, c99):
         custom = c99.extend("c99-retuned", override_costs={"add.f64": 7.0})
-        outcomes = compile_many(
-            [(core_named("sqrt-sub"), custom)],
-            config=FAST,
-            sample_config=SAMPLES,
-            jobs=4,
-        )
+        outcomes = batch_outcomes([(core_named("sqrt-sub"), custom)], jobs=4)
         assert outcomes[0].ok
         assert outcomes[0].target == "c99-retuned"
 
@@ -250,9 +240,7 @@ class TestCompileMany:
         """Deserialized frontiers are real exprs that can be re-scored."""
         from repro.accuracy.scoring import score_program
 
-        (outcome,) = compile_many(
-            [(core_named("sqrt-sub"), "c99")], config=FAST, sample_config=SAMPLES
-        )
+        (outcome,) = batch_outcomes([(core_named("sqrt-sub"), "c99")])
         result = outcome.result
         best = result.frontier.best_error()
         rescored = score_program(

@@ -177,23 +177,6 @@ class TestChassisSession:
 
 
 class TestDeprecatedShims:
-    def test_compile_fpcore_warns_but_works(self, c99):
-        from repro import compile_fpcore, parse_fpcore
-
-        with pytest.warns(DeprecationWarning, match="ChassisSession"):
-            result = compile_fpcore(parse_fpcore(SRC), c99, FAST, SAMPLES)
-        assert len(result.frontier) >= 1
-
-    def test_compile_many_warns_but_works(self):
-        from repro import parse_fpcore
-        from repro.service import compile_many
-
-        with pytest.warns(DeprecationWarning, match="ChassisSession"):
-            outcomes = compile_many(
-                [(parse_fpcore(SRC), "c99")], config=FAST, sample_config=SAMPLES
-            )
-        assert outcomes[0].ok
-
     def test_jobspec_is_a_real_alias_not_a_string(self):
         from repro.service.api import JobSpec
 

@@ -66,15 +66,28 @@ class TestPoolReuse:
         assert all(len(result.frontier) > 0 for result in results)
         assert all(handle.poll() == "ok" for handle in handles)
 
-    def test_config_change_recycles_the_pool(self, pool_session):
+    def test_config_change_keeps_the_warm_workers(self, pool_session):
+        """Configs ride on each job, so a batch with another config runs
+        on the same workers and matches an inline compile of it."""
+        specs = [(core_named("sqrt-sub"), "c99")]
+        pool_session.compile_many(specs)  # warm workers on the session config
         pool = pool_session.worker_pool()
-        generation = pool.generation
+        generation, pids = pool.generation, pool.worker_pids()
+        assert generation >= 1 and len(pids) == 2
         other = CompileConfig(iterations=0, localize_points=6, max_variants=12)
-        (outcome,) = pool_session.compile_many(
-            [(core_named("sqrt-sub"), "c99")], config=other
-        )
+        (outcome,) = pool_session.compile_many(specs, config=other)
         assert outcome.ok
-        assert pool.generation == generation + 1
+        assert pool.generation == generation
+        assert pool.worker_pids() == pids
+        with ChassisSession(
+            config=other, sample_config=SAMPLES, jobs=1
+        ) as serial:
+            (want,) = serial.compile_many(specs)
+
+        def scrub(payload):
+            return {k: v for k, v in payload.items() if k != "elapsed"}
+
+        assert scrub(outcome.payload) == scrub(want.payload)
 
     def test_jobs_1_session_has_no_pool(self):
         session = ChassisSession(config=FAST, sample_config=SAMPLES, jobs=1)
@@ -93,7 +106,7 @@ class TestPoolReuse:
         pool = WorkerPool(2)
         pool.shutdown()
         with pytest.raises(RuntimeError):
-            pool.run_batch([], FAST, SAMPLES)
+            pool.run_batch([])
 
 
 class TestStatsAccounting:
