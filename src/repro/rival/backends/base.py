@@ -71,7 +71,8 @@ class PointResult:
 class OracleCounters:
     """Backend-level work counters, mergeable across processes.
 
-    ``evals``/``escalations`` mirror :class:`RivalEvaluator`'s per-rung
+    ``evals``/``escalations``/``ladder_passes`` mirror
+    :class:`RivalEvaluator`'s ``evals``/``escalations``/``passes``
     counters but are non-zero only for evaluator instances *owned* by a
     backend on the far side of a process boundary (pool workers); the
     in-process backends share the session evaluator, whose own counters
@@ -81,6 +82,7 @@ class OracleCounters:
 
     evals: int = 0
     escalations: int = 0
+    ladder_passes: int = 0
     batch_calls: int = 0
     batch_points: int = 0
     fastpath_hits: int = 0

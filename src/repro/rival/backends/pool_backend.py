@@ -83,12 +83,13 @@ def _oracle_worker_chunk(task: dict) -> dict:
     and run the whole sampler iteration (filter + body) worker-side.
     Returns point-ordered ``(status, value)`` pairs (``None`` for sample
     points the precondition rejected) plus this chunk's counter deltas
-    (including the worker evaluator's ``evals``/``escalations``, which
-    have no other way home).
+    (including the worker evaluator's ``evals``/``escalations``/``passes``,
+    which have no other way home).
     """
     oracle = _worker_oracle(tuple(task["precisions"]))
     evaluator = oracle.evaluator
     evals0, escalations0 = evaluator.evals, evaluator.escalations
+    passes0 = evaluator.passes
     before = oracle.counters()
     expr = parse_expr(task["source"])
     if task["kind"] == "bool":
@@ -105,6 +106,7 @@ def _oracle_worker_chunk(task: dict) -> dict:
     }
     deltas["evals"] = evaluator.evals - evals0
     deltas["escalations"] = evaluator.escalations - escalations0
+    deltas["ladder_passes"] = evaluator.passes - passes0
     # The parent records its own batch-level shape (one logical batch,
     # not one per shard).
     deltas["batch_calls"] = 0

@@ -20,6 +20,10 @@ Concretely (see :class:`repro.rival.backends.numpy_backend.NumpyBackend`):
   for the cancellation-dominated residue the longdouble sweep cannot
   settle;
 * rung 3 — the per-point mpmath ladder (80→1280 bits), the authority.
+  Within one batch each point starts at the precision where the
+  previous point settled; a start above 80 bits is accepted only for a
+  nonzero value and anything else replays from 80 bits, so its answers
+  are those of the ladder climbed from the bottom.
 
 This module holds the pieces shared by every rung implementation: the
 :class:`Rung` contract, the bounded compiled-program cache, the

@@ -21,6 +21,17 @@ from typing import Callable
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    from_man_exp,
+    from_rational,
+    mpf_abs,
+    mpf_add,
+    mpf_shift,
+    mpf_sub,
+    round_ceiling,
+    round_floor,
+    round_nearest,
+)
 
 
 class DomainError(ArithmeticError):
@@ -51,8 +62,24 @@ class Interval:
 
     @staticmethod
     def point(value) -> "Interval":
-        """An exact (width-zero) interval; value must be mpf-representable."""
-        v = _exact(value)
+        """The tightest interval around an exact value at the working precision.
+
+        A float becomes a width-zero point: every ladder precision holds a
+        binary64 exactly.  An int or Fraction is rounded outward, so a
+        literal wider than the working precision gets its two neighbours
+        rather than a nearest value that excludes it; one that fits is a
+        width-zero point.
+        """
+        if isinstance(value, int):
+            value = Fraction(value)
+        if isinstance(value, Fraction):
+            prec = mp.prec
+            p, q = value.numerator, value.denominator
+            return Interval(
+                mp.make_mpf(from_rational(p, q, prec, round_floor)),
+                mp.make_mpf(from_rational(p, q, prec, round_ceiling)),
+            )
+        v = mpf(value)
         return Interval(v, v)
 
     @staticmethod
@@ -80,31 +107,40 @@ class Interval:
         return f"Interval({mpmath.nstr(self.lo, 12)}, {mpmath.nstr(self.hi, 12)}{flag})"
 
 
-def _exact(value) -> mpf:
-    """Convert a float/int/Fraction exactly to mpf (no rounding)."""
-    if isinstance(value, Fraction):
-        with mp.workprec(max(mp.prec, 256)):
-            return mpf(value.numerator) / mpf(value.denominator)
-    return mpf(value)
-
-
 # --- outward widening ------------------------------------------------------------
+
+
+#: The absolute margin floor ``2^(-prec-1080)``, per working precision.
+_FLOOR: dict[int, tuple] = {}
+
+
+def _margin(x: mpf, prec: int) -> tuple:
+    """``|x| * 2^(3-prec) + 2^(-prec-1080)`` as a raw mpf value.
+
+    A few ulps at ``prec`` plus an absolute floor.  The scaling is an
+    exponent shift, which is exact, so only the sum rounds (to nearest
+    at ``prec``, as ``mpf`` arithmetic does).
+    """
+    floor = _FLOOR.get(prec)
+    if floor is None:
+        floor = _FLOOR[prec] = from_man_exp(1, -prec - 1080)
+    return mpf_add(mpf_shift(mpf_abs(x._mpf_), 3 - prec), floor, prec, round_nearest)
 
 
 def _down(x: mpf) -> mpf:
     """A value certainly <= the true value that ``x`` approximates."""
     if mpmath.isinf(x) or mpmath.isnan(x):
         return x
-    margin = abs(x) * mpf(2) ** (3 - mp.prec) + mpf(2) ** (-mp.prec - 1080)
-    return x - margin
+    prec = mp.prec
+    return mp.make_mpf(mpf_sub(x._mpf_, _margin(x, prec), prec, round_nearest))
 
 
 def _up(x: mpf) -> mpf:
     """A value certainly >= the true value that ``x`` approximates."""
     if mpmath.isinf(x) or mpmath.isnan(x):
         return x
-    margin = abs(x) * mpf(2) ** (3 - mp.prec) + mpf(2) ** (-mp.prec - 1080)
-    return x + margin
+    prec = mp.prec
+    return mp.make_mpf(mpf_add(x._mpf_, _margin(x, prec), prec, round_nearest))
 
 
 def _widened(lo: mpf, hi: mpf) -> Interval:
@@ -282,8 +318,15 @@ def icosh(a: Interval) -> Interval:
 # --- periodic functions ----------------------------------------------------------------
 
 
+#: π rounded to nearest, per working precision.
+_PI: dict[int, mpf] = {}
+
+
 def _pi() -> mpf:
-    return mpmath.pi()
+    pi = _PI.get(mp.prec)
+    if pi is None:
+        pi = _PI[mp.prec] = mpmath.pi()
+    return pi
 
 
 def isin(a: Interval) -> Interval:

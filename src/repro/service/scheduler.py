@@ -154,7 +154,7 @@ class JobOutcome:
     #: ``SessionStats.engine`` so ``/health`` covers pooled compiles.
     engine: dict | None = None
     #: Oracle counters from wherever the job ran — the per-job
-    #: evaluator's ``evals``/``escalations`` plus its backend's batch
+    #: evaluator's ``evals``/``escalations``/``passes`` plus its backend's batch
     #: counters, as an :meth:`OracleCounters.as_dict` dict; None for
     #: cache hits.  Sessions fold these into ``SessionStats.rival``.
     oracle: dict | None = None
@@ -267,6 +267,7 @@ def run_job(job: BatchJob, target=None) -> dict:
     counters = oracle.counters()
     counters.evals += evaluator.evals
     counters.escalations += evaluator.escalations
+    counters.ladder_passes += evaluator.passes
     if counters.any():
         outcome["oracle"] = counters.as_dict()
     if trace is not None:

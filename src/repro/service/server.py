@@ -550,6 +550,11 @@ class ChassisServer(ThreadingHTTPServer):
                 ("Correctly-rounded oracle ladder evaluations, in-process "
                  "plus folded back from pooled workers.",
                  lambda: session.oracle_totals().evals),
+            "repro_oracle_ladder_passes":
+                ("Interval passes run by the mpmath ladder (one per "
+                 "working precision tried), in-process plus folded back "
+                 "from pooled workers.",
+                 lambda: session.oracle_totals().ladder_passes),
             "repro_oracle_fastpath_points":
                 ("Batched oracle points settled by the vectorized fast "
                  "path without touching the mpmath ladder.",

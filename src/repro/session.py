@@ -145,7 +145,7 @@ class SessionStats:
     #: Oracle-lock wait vs hold time (see :class:`OracleStats`).
     oracle: OracleStats = field(default_factory=OracleStats)
     #: Oracle-backend work folded back from pooled compiles (worker
-    #: evaluators' ``evals``/``escalations`` plus backend batch counters
+    #: evaluators' ``evals``/``escalations``/``passes`` plus backend batch counters
     #: shipped home on ``JobOutcome.oracle``) — the rival twin of
     #: ``engine``, so ``/health`` oracle totals cover every process.
     rival: OracleCounters = field(default_factory=OracleCounters)
@@ -1316,6 +1316,7 @@ class ChassisSession:
             totals.merge(self.stats.rival)
         totals.evals += self.evaluator.evals
         totals.escalations += self.evaluator.escalations
+        totals.ladder_passes += self.evaluator.passes
         return totals
 
     def health(self) -> dict:
@@ -1337,6 +1338,7 @@ class ChassisSession:
                 "backend": self.oracle_backend,
                 "evals": oracle.evals,
                 "escalations": oracle.escalations,
+                "ladder_passes": oracle.ladder_passes,
                 "batch_calls": oracle.batch_calls,
                 "batch_points": oracle.batch_points,
                 "fastpath_hits": oracle.fastpath_hits,

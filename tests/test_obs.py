@@ -423,6 +423,9 @@ class TestOracleGauges:
         assert gauges["repro_oracle_evals"] == oracle["evals"]
         assert gauges["repro_oracle_fastpath_points"] == oracle["fastpath_hits"]
         assert gauges["repro_oracle_dd_points"] == oracle["rungs"]["dd_hits"]
+        assert gauges["repro_oracle_ladder_passes"] == oracle["ladder_passes"]
+        # every ladder evaluation runs at least one interval pass
+        assert oracle["ladder_passes"] >= oracle["evals"] > 0
 
 
 class TestHealthCLI:
